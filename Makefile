@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt check
+.PHONY: build test vet fmt perfbench check
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
+# perfbench/ is a nested module that root ./... patterns never reach.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # check is the pre-push gate: everything a PR must pass locally.
-check: fmt build vet test
+check: fmt build vet test perfbench
 	@echo "check: OK"

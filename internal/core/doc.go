@@ -14,8 +14,8 @@
 //   - Ω_k,S and its pruning certificate (Definitions 1–2, Algorithms
 //     1–2) — internal/topbuckets, reached through the plan cache.
 //   - DistributeTopBuckets / DTB (Algorithms 3–4) — internal/distribute.
-//   - The join and merge Map-Reduce jobs (Figure 5c–e) — internal/join
-//     on the internal/mapreduce substrate.
+//   - The join and merge phases (Figure 5c–e) — internal/join's
+//     reducer fan-out, in-process or scattered by internal/shard.
 //
 // The Engine is dataset-scoped: statistics and the bucket store are
 // prepared once per dataset (the paper's query-independent

@@ -34,7 +34,8 @@ type Options struct {
 	K int
 	// Reducers is the number of reduce partitions r.
 	Reducers int
-	// Mappers is the number of parallel map tasks (0 = GOMAXPROCS).
+	// Mappers is the number of parallel map tasks of the offline
+	// statistics job (0 = GOMAXPROCS).
 	Mappers int
 	// Strategy selects the TopBuckets bound-computation strategy.
 	Strategy topbuckets.Strategy
@@ -897,7 +898,7 @@ type Report struct {
 	// plan-cache hit, like TopBuckets.
 	Assignment *distribute.Assignment
 	// Join is the join + merge phases' full output (per-reducer local
-	// statistics, shuffle accounting, the final shared floor).
+	// statistics, routed-reference accounting, the final shared floor).
 	Join *join.Output
 
 	// TreesBuilt and TreesReused attribute bucket-store R-tree activity
@@ -966,11 +967,10 @@ type Report struct {
 	// DistributeTime is the wall time of phase 2 (reducer assignment);
 	// zero when a cached assignment was reused.
 	DistributeTime time.Duration
-	// JoinTime is the wall time of the join Map-Reduce job, measured
-	// independently around the job (see join.Output.JoinDuration).
+	// JoinTime is the wall time of the reducer fan-out, measured
+	// independently around it (see join.Output.JoinDuration).
 	JoinTime time.Duration
-	// MergeTime is the wall time of the merge job, measured the same
-	// way.
+	// MergeTime is the wall time of the merge, measured the same way.
 	MergeTime time.Duration
 	// Total is the end-to-end wall time of Execute after admission
 	// (query-time only; the offline statistics phase is reported on the
@@ -991,19 +991,27 @@ func (r *Report) PlanOutcome() string {
 	return plancache.Miss.String()
 }
 
-// Imbalance returns the join phase's reduce-task imbalance
-// (max/avg task duration, Figure 10b).
+// Imbalance returns the join phase's reducer imbalance (Figure 10b):
+// the slowest reducer's local join time over the mean across all
+// reducers, idle ones included; 0 when no reducer recorded any time.
 func (r *Report) Imbalance() float64 {
-	if r.Join == nil || r.Join.JoinMetrics == nil {
+	if r.Join == nil {
 		return 0
 	}
-	return r.Join.JoinMetrics.Imbalance()
+	var sum time.Duration
+	for _, l := range r.Join.Locals {
+		sum += l.Duration
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(r.Join.MaxReducerDuration()) / (float64(sum) / float64(len(r.Join.Locals)))
 }
 
 // Execute evaluates q with vertex i reading collection i. It is safe to
 // call concurrently with other Execute calls on the same engine. ctx
 // cancellation (or deadline expiry) aborts the execution between
-// phases — after planning, and between the join and merge jobs — with
+// phases — after planning, and between the join and merge phases — with
 // an error satisfying errors.Is(err, ErrCanceled).
 func (e *Engine) Execute(ctx context.Context, q *query.Query) (*Report, error) {
 	mapping := make([]int, q.NumVertices)
@@ -1212,7 +1220,7 @@ func (e *Engine) executePinnedSpanned(ctx context.Context, q *query.Query, mappi
 	// cluster hangs its scatter/gather children under it.
 	joinSpan := obs.SpanFrom(ctx).Child("join")
 	out, err := join.RunWith(obs.WithSpan(ctx, joinSpan), q, srcs, grans, tb.Selected, assign, k,
-		mapreduce.Config{Mappers: e.opts.Mappers, Reducers: e.opts.Reducers}, localOpts,
+		mapreduce.Config{}, localOpts,
 		mapping, pin.runner)
 	joinSpan.Finish()
 	if err != nil {
@@ -1235,10 +1243,9 @@ func (e *Engine) executePinnedSpanned(ctx context.Context, q *query.Query, mappi
 		report.ShardShippedRecords = out.ShippedRecords
 		report.ShardFloorFrames = out.FloorFrames
 	}
-	// The two jobs are timed independently inside join.Run. Deriving
-	// MergeTime from the merge job's internal Metrics.Total and
-	// subtracting it from one outer window went negative under scheduler
-	// contention (the inner measurement can exceed the outer one).
+	// The two phases are timed independently inside join.RunWith, so
+	// neither is derived by subtracting from an outer window (which can
+	// go negative under scheduler contention).
 	report.JoinTime = out.JoinDuration
 	report.MergeTime = out.MergeDuration
 	report.Total = time.Since(total)
@@ -1284,7 +1291,7 @@ func (e *Engine) ProbePinned(ctx context.Context, q *query.Query, mapping []int,
 		probeSpan.SetInt("combos", int64(len(combos)))
 	}
 	out, err := join.RunWith(obs.WithSpan(ctx, probeSpan), q, srcs, grans, combos, assign, k,
-		mapreduce.Config{Mappers: e.opts.Mappers, Reducers: e.opts.Reducers}, localOpts,
+		mapreduce.Config{}, localOpts,
 		mapping, pin.runner)
 	probeSpan.Finish()
 	if err != nil {

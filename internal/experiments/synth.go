@@ -142,7 +142,7 @@ func Fig8Workload(ctx context.Context, cfg Config) ([]*Table, error) {
 					return nil, err
 				}
 				joinTime[ai] = report.JoinTime
-				maxRed[ai] = report.Join.JoinMetrics.MaxReduceDuration()
+				maxRed[ai] = report.Join.MaxReducerDuration()
 				kthMin[ai] = minLocalScore(report.Join.Locals)
 			}
 			row := []string{fmt.Sprintf("%d", n), q.Name}

@@ -12,10 +12,9 @@ import (
 	"tkij/internal/stats"
 )
 
-// Regression: an assignment routing nothing gives the merge job zero
-// inputs; Run must still return a non-nil (empty) result slice with
-// both jobs' metrics populated — not a nil slice that breaks callers
-// ranging or JSON-encoding the output.
+// Regression: an assignment routing nothing gives the merge zero
+// results; Run must still return a non-nil (empty) result slice — not
+// a nil slice that breaks callers ranging or JSON-encoding the output.
 func TestRunEmptyAssignment(t *testing.T) {
 	q := query.MustNew("empty", 2, []query.Edge{
 		{From: 0, To: 1, Pred: scoring.Meets(scoring.P1)},
@@ -42,8 +41,8 @@ func TestRunEmptyAssignment(t *testing.T) {
 	if len(out.Results) != 0 {
 		t.Fatalf("got %d results from an empty assignment", len(out.Results))
 	}
-	if out.MergeMetrics == nil || out.JoinMetrics == nil {
-		t.Fatal("job metrics missing on the empty path")
+	if len(out.Locals) != assign.Reducers || out.RoutedBucketEntries != 0 {
+		t.Fatalf("empty path: %d locals for %d reducers, %d routed refs", len(out.Locals), assign.Reducers, out.RoutedBucketEntries)
 	}
 	if out.JoinDuration < 0 || out.MergeDuration < 0 {
 		t.Fatalf("negative phase durations: join %v, merge %v", out.JoinDuration, out.MergeDuration)

@@ -10,6 +10,7 @@ import (
 	"tkij/internal/interval"
 	"tkij/internal/mapreduce"
 	"tkij/internal/query"
+	"tkij/internal/rtree"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
 	"tkij/internal/store"
@@ -101,6 +102,37 @@ func storeSources(t *testing.T, cols []*interval.Collection, ms []*stats.Matrix)
 		grans[v] = ms[v].Grid()
 	}
 	return srcs, grans
+}
+
+// mapSource adapts a vertex-scoped bucket map to Source, building
+// private R-trees lazily. It is NOT safe for concurrent use: hand it
+// to single-task RunTasks calls, or to runs whose reducers never probe.
+type mapSource struct {
+	col  int
+	data map[stats.BucketKey][]interval.Interval
+	tree map[stats.BucketKey]*rtree.Tree
+}
+
+func newMapSource(col int, data map[stats.BucketKey][]interval.Interval) *mapSource {
+	return &mapSource{col: col, data: data, tree: make(map[stats.BucketKey]*rtree.Tree)}
+}
+
+func (ms *mapSource) BucketItems(startG, endG int) []interval.Interval {
+	return ms.data[stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}]
+}
+
+func (ms *mapSource) SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool) {
+	key := stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}
+	t, ok := ms.tree[key]
+	if !ok {
+		items := ms.data[key]
+		if len(items) == 0 {
+			return
+		}
+		t = store.TreeOf(items)
+		ms.tree[key] = t
+	}
+	t.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) })
 }
 
 // pipeline runs the full TKIJ flow for tests.
@@ -290,7 +322,7 @@ func TestRunLocalDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand all data and all combos to one local joiner.
+	// Hand all data and all combos to one reducer task.
 	data := make(map[stats.BucketKey][]interval.Interval)
 	for col, c := range cols {
 		for _, iv := range c.Items {
@@ -300,16 +332,22 @@ func TestRunLocalDirect(t *testing.T) {
 		}
 	}
 	grans := []stats.Grid{ms[0].Grid(), ms[1].Grid()}
-	results, st, err := RunLocal(q, k, tb.Selected, data, grans, LocalOptions{})
+	srcs := []Source{newMapSource(0, data), newMapSource(1, data)}
+	task := ReducerTask{Combos: make([]int, len(tb.Selected))}
+	for i := range task.Combos {
+		task.Combos[i] = i
+	}
+	outs, err := RunTasks(context.Background(), q, k, srcs, grans, tb.Selected, []ReducerTask{task}, LocalOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, st := outs[0].Results, outs[0].Stats
 	exact, err := Exhaustive(q, cols, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ScoreMultisetEqual(results, exact, 1e-9) {
-		t.Fatalf("RunLocal != exhaustive: %v vs %v", scoresOf(results), scoresOf(exact))
+		t.Fatalf("RunTasks != exhaustive: %v vs %v", scoresOf(results), scoresOf(exact))
 	}
 	if st.CombosAssigned != len(tb.Selected) {
 		t.Errorf("CombosAssigned = %d, want %d", st.CombosAssigned, len(tb.Selected))
@@ -321,8 +359,16 @@ func TestRunLocalDirect(t *testing.T) {
 
 func TestRunLocalErrors(t *testing.T) {
 	q := query.MustNew("pair", 2, []query.Edge{{From: 0, To: 1, Pred: scoring.Before(scoring.P1)}}, scoring.Avg{})
-	if _, _, err := RunLocal(q, 0, nil, nil, nil, LocalOptions{}); err == nil {
+	srcs := []Source{newMapSource(0, nil), newMapSource(1, nil)}
+	if _, err := RunTasks(context.Background(), q, 0, srcs, nil, nil, nil, LocalOptions{}, nil); err == nil {
 		t.Error("k=0 accepted")
+	}
+	if _, err := RunTasks(context.Background(), q, 3, srcs[:1], nil, nil, nil, LocalOptions{}, nil); err == nil {
+		t.Error("source count mismatch accepted")
+	}
+	bad := &query.Query{Name: "bad", NumVertices: 2, Agg: scoring.Avg{}}
+	if _, err := RunTasks(context.Background(), bad, 3, srcs, nil, nil, nil, LocalOptions{}, nil); err == nil {
+		t.Error("invalid query accepted")
 	}
 }
 
@@ -348,6 +394,24 @@ func TestRunArgErrors(t *testing.T) {
 	if _, err := Run(context.Background(), q, srcs, grans, tb.Selected, assign, 0, mapreduce.Config{}, LocalOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
+	// A runner's reducer indexes come from outside the process when it
+	// is remote; out-of-range or repeated ones must fail the query.
+	for _, reducers := range [][]int{{2}, {-1}, {1, 1}} {
+		runner := fakeRunner{}
+		for _, rj := range reducers {
+			runner = append(runner, ReducerOutput{Reducer: rj})
+		}
+		if _, err := RunWith(context.Background(), q, srcs, grans, tb.Selected, assign, 5, mapreduce.Config{}, LocalOptions{}, nil, runner); err == nil {
+			t.Errorf("runner output for reducers %v accepted", reducers)
+		}
+	}
+}
+
+// fakeRunner returns fixed reducer outputs without evaluating anything.
+type fakeRunner []ReducerOutput
+
+func (f fakeRunner) RunReducers(context.Context, *ReduceRequest) (*RunnerOutput, error) {
+	return &RunnerOutput{Reducers: f}, nil
 }
 
 func TestScoreMultisetEqual(t *testing.T) {

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"tkij/internal/rtree"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
-	"tkij/internal/store"
 	"tkij/internal/topbuckets"
 )
 
@@ -23,7 +21,6 @@ import (
 // dataset-resident serving path — a bucket there may be covered by a
 // sealed base tree plus a small delta tree over appended intervals,
 // which is why the interface exposes a search rather than one tree.
-// mapSource adapts explicit bucket maps for RunLocal and tests.
 // Implementations shared across reduce tasks must be safe for
 // concurrent use.
 type Source interface {
@@ -34,37 +31,6 @@ type Source interface {
 	// inside box, invoking fn with indexes into BucketItems. fn
 	// returning false stops the probe.
 	SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool)
-}
-
-// mapSource adapts a vertex-scoped bucket map to Source, building
-// private R-trees lazily. It serves the single-goroutine RunLocal path
-// and is NOT safe for concurrent use.
-type mapSource struct {
-	col  int
-	data map[stats.BucketKey][]interval.Interval
-	tree map[stats.BucketKey]*rtree.Tree
-}
-
-func newMapSource(col int, data map[stats.BucketKey][]interval.Interval) *mapSource {
-	return &mapSource{col: col, data: data, tree: make(map[stats.BucketKey]*rtree.Tree)}
-}
-
-func (ms *mapSource) BucketItems(startG, endG int) []interval.Interval {
-	return ms.data[stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}]
-}
-
-func (ms *mapSource) SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool) {
-	key := stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}
-	t, ok := ms.tree[key]
-	if !ok {
-		items := ms.data[key]
-		if len(items) == 0 {
-			return
-		}
-		t = store.TreeOf(items)
-		ms.tree[key] = t
-	}
-	t.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) })
 }
 
 // LocalOptions tunes the per-reducer join. The zero value is the paper's
@@ -142,9 +108,9 @@ type LocalStats struct {
 	// survive encoding/json, which rejects NaN; check ResultsReturned
 	// before reading it.
 	MinScore float64
-	// BucketRefsRouted is the number of bucket references shuffled to
-	// this reducer by the join job (the store-backed pipeline ships
-	// references, not raw intervals).
+	// BucketRefsRouted is the number of bucket references the
+	// assignment routes to this reducer (it reads the referenced
+	// resident slices in place; no raw interval is copied).
 	BucketRefsRouted int
 	// RoutedIntervals is the resident-interval weight of those
 	// references (Σ|b|) — this reducer's share of the replication cost
@@ -255,8 +221,8 @@ type localJoiner struct {
 	// srcs supplies each query vertex's bucket data (shared,
 	// concurrency-safe on the store-backed path).
 	srcs []Source
-	// shared is the cross-reducer threshold; nil disables sharing (the
-	// RunLocal path and pruning-disabled ablations).
+	// shared is the cross-reducer threshold; nil disables sharing
+	// (pruning-disabled ablations and floor-free RunTasks callers).
 	shared *SharedFloor
 
 	topk     *TopK
@@ -407,11 +373,11 @@ func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 }
 
 // Run processes the reducer's combinations (§3.4: accessed by descending
-// score upper bound) and returns the local top-k.
-func (lj *localJoiner) Run(combos []topbuckets.Combo) []Result {
+// score upper bound) and returns the local top-k. It sorts ordered in
+// place, so the caller hands over a slice it owns.
+func (lj *localJoiner) Run(ordered []topbuckets.Combo) []Result {
 	start := time.Now()
-	lj.stats.CombosAssigned = len(combos)
-	ordered := append([]topbuckets.Combo(nil), combos...)
+	lj.stats.CombosAssigned = len(ordered)
 	sortCombosByUB(ordered)
 
 	if !lj.opts.DisablePruning {
@@ -735,52 +701,4 @@ func (lj *localJoiner) partialUpperBound() float64 {
 		}
 	}
 	return lj.plan.q.Agg.Aggregate(lj.scratch)
-}
-
-// RunReducer evaluates one reducer's combination list against srcs with
-// a live shared floor — the per-reducer entry the remote execution path
-// (internal/shard workers) runs for each reducer scattered to it.
-// Unlike RunLocal's static floor, shared is consulted and raised
-// throughout the run, so floor broadcasts arriving mid-query
-// early-terminate the reducer exactly as an in-process sibling would.
-// shared may be nil (pruning disabled); opts.Share must be nil — the
-// batch-sharing registry does not cross the wire.
-func RunReducer(q *query.Query, k int, combos []topbuckets.Combo, srcs []Source,
-	grans []stats.Grid, opts LocalOptions, shared *SharedFloor) ([]Result, LocalStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, LocalStats{}, err
-	}
-	if k < 1 {
-		return nil, LocalStats{}, fmt.Errorf("join: k must be >= 1, got %d", k)
-	}
-	if len(srcs) != q.NumVertices {
-		return nil, LocalStats{}, fmt.Errorf("join: query %s has %d vertices but %d sources", q.Name, q.NumVertices, len(srcs))
-	}
-	if opts.Share != nil {
-		return nil, LocalStats{}, fmt.Errorf("join: RunReducer cannot carry a batch-sharing registry")
-	}
-	lj := newLocalJoiner(newPlan(q), k, opts, srcs, grans, shared)
-	results := lj.Run(combos)
-	return results, lj.stats, nil
-}
-
-// RunLocal evaluates the query over explicit bucket data (keys scoped
-// by query vertex) — usable directly for single-process execution and
-// tests. grans (one granulation + extent grid per query vertex)
-// enables in-combination per-edge bounds; nil is allowed and falls
-// back to trivial bounds.
-func RunLocal(q *query.Query, k int, combos []topbuckets.Combo, data map[stats.BucketKey][]interval.Interval, grans []stats.Grid, opts LocalOptions) ([]Result, LocalStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, LocalStats{}, err
-	}
-	if k < 1 {
-		return nil, LocalStats{}, fmt.Errorf("join: k must be >= 1, got %d", k)
-	}
-	srcs := make([]Source, q.NumVertices)
-	for v := range srcs {
-		srcs[v] = newMapSource(v, data)
-	}
-	lj := newLocalJoiner(newPlan(q), k, opts, srcs, grans, nil)
-	results := lj.Run(combos)
-	return results, lj.stats, nil
 }

@@ -18,38 +18,22 @@ import (
 type Output struct {
 	// Results is the final top-k, sorted by descending score. It is
 	// never nil: a run that produces no results (every combination
-	// pruned, or an empty assignment giving the merge job zero inputs)
-	// yields an empty slice, so callers can range/encode it without a
-	// nil check.
+	// pruned, or an empty assignment) yields an empty slice, so callers
+	// can range/encode it without a nil check.
 	Results []Result
-	// JoinMetrics covers the join Map-Reduce job. Its ShuffleRecords
-	// counts routed bucket references — the store-backed pipeline never
-	// ships raw intervals through the shuffle.
-	JoinMetrics *mapreduce.Metrics
-	// MergeMetrics covers the final merge job.
-	MergeMetrics *mapreduce.Metrics
 	// Locals reports each reducer's local join statistics, indexed by
-	// reducer.
+	// reducer: Locals[i].Reducer == i for every reducer, idle ones
+	// included.
 	Locals []LocalStats
 	// RoutedBucketEntries is the number of (bucket → reducer) references
-	// shuffled by the join job: Σ over buckets of the number of reducers
-	// holding them.
+	// the assignment routes: Σ over buckets of the number of reducers
+	// holding them. Reducers read the referenced interval slices and
+	// memoized R-trees in place; no raw interval is copied to them.
 	RoutedBucketEntries int
 	// RoutedIntervalRecords is the resident-interval weight of those
 	// references, Σ|b| × |reducers(b)| — the replication cost DTB
-	// minimizes (Assignment.ReplicatedRecords, preserved under the
-	// reference shuffle).
+	// minimizes (Assignment.ReplicatedRecords).
 	RoutedIntervalRecords float64
-	// RawIntervalsShuffled counts join-shuffle records beyond the routed
-	// bucket references: with the dataset-resident bucket store every
-	// shuffled record is a reference, so this is zero — reducers read
-	// interval slices and memoized R-trees in place. It is derived from
-	// the job's actual shuffle accounting, so a future path that ships
-	// per-interval records again shows up here (and in the regression
-	// tests) immediately. Remote runners have no in-process shuffle;
-	// their shipping cost is reported in ShippedBuckets/ShippedRecords
-	// instead and this stays zero.
-	RawIntervalsShuffled int64
 	// ShippedBuckets and ShippedRecords count bucket payloads a remote
 	// runner shipped to shard workers that did not own them — the
 	// network sibling of the replication cost DTB minimizes. Zero for
@@ -62,39 +46,31 @@ type Output struct {
 	// SharedFloor is the final cross-reducer threshold (0 when pruning
 	// was disabled).
 	SharedFloor float64
-	// JoinDuration and MergeDuration are the wall times of the two
-	// Map-Reduce jobs, measured independently around each job. Use these
-	// for phase attribution rather than subtracting the jobs' internal
-	// Metrics.Total values from an outer window — under scheduler
-	// contention an inner Total can exceed the outer measurement and the
-	// subtraction would go negative.
+	// JoinDuration and MergeDuration are the wall times of the reducer
+	// fan-out and of the merge, each measured around its own phase.
 	JoinDuration  time.Duration
 	MergeDuration time.Duration
 }
 
-// bucketRoute is one map input of the join job: a bucket reference plus
-// the reducers that need it (from the workload assignment).
-type bucketRoute struct {
-	key      stats.BucketKey // vertex-scoped
-	count    int             // resident |b|, the replication weight
-	reducers []int
+// MaxReducerDuration returns the slowest reducer's local join time —
+// the join's critical path (Figure 8b).
+func (o *Output) MaxReducerDuration() time.Duration {
+	var slowest time.Duration
+	for _, l := range o.Locals {
+		slowest = max(slowest, l.Duration)
+	}
+	return slowest
 }
 
-// routedRef is one shuffled record: a bucket reference bound for one
-// reducer, reduced to exactly what the reducer consumes — the bucket's
-// replication weight. No interval data travels with it.
-type routedRef struct {
-	count int
-}
-
-// Run executes steps (c)-(e) of Figure 5: the join Map-Reduce job using
-// the given workload assignment, followed by the merge job. srcs[i]
-// serves query vertex i's resident bucket data (see Source); grans[i]
-// is the granulation (with observed endpoint extent) vertex i's
-// buckets live under. The job shuffles
-// bucket references — raw intervals stay resident in the store — and
-// reducers prune against a shared cross-reducer threshold seeded from
-// opts.Floor.
+// Run executes steps (c)-(e) of Figure 5: the reducers evaluate their
+// share of the workload assignment in parallel, then their local lists
+// merge into the global top-k. srcs[i] serves query vertex i's resident
+// bucket data (see Source); grans[i] is the granulation (with observed
+// endpoint extent) vertex i's buckets live under. Raw intervals stay
+// resident in the store, and reducers prune against a shared
+// cross-reducer threshold seeded from opts.Floor. cfg is unused: it
+// remains in the signature for callers written against the Map-Reduce
+// formulation, and reducer parallelism follows assign.Reducers.
 //
 // srcs implementations must be safe for concurrent use; store.ColView
 // (an epoch-pinned view) is, and is what the engine passes. A raw
@@ -102,9 +78,9 @@ type routedRef struct {
 // Append its BucketItems and SearchBucket can observe different
 // epochs — pin a Store.View instead whenever appends may run.
 //
-// ctx is consulted between the two Map-Reduce jobs (and before the
-// first): a canceled context aborts with ctx.Err() before the next job
-// starts. Individual local reduce tasks are not interrupted mid-flight.
+// ctx is checked before the join and between join and merge (a
+// canceled context aborts with ctx.Err()), and a cancelable ctx is
+// polled by the local reducers mid-combination.
 func Run(ctx context.Context, q *query.Query, srcs []Source, grans []stats.Grid,
 	combos []topbuckets.Combo, assign *distribute.Assignment, k int,
 	cfg mapreduce.Config, opts LocalOptions) (*Output, error) {
@@ -116,10 +92,12 @@ func Run(ctx context.Context, q *query.Query, srcs []Source, grans []stats.Grid,
 // carries the vertex-to-collection mapping remote runners need (nil =
 // identity; ignored by the local runner). A runner that aborts on a
 // canceled context returns an error wrapping ctx.Err(), which callers
-// translate exactly like the between-phase checks here.
+// translate exactly like the between-phase checks here. The merge and
+// the routed-reference accounting happen here, identically for every
+// runner.
 func RunWith(ctx context.Context, q *query.Query, srcs []Source, grans []stats.Grid,
 	combos []topbuckets.Combo, assign *distribute.Assignment, k int,
-	cfg mapreduce.Config, opts LocalOptions, mapping []int, runner Runner) (*Output, error) {
+	_ mapreduce.Config, opts LocalOptions, mapping []int, runner Runner) (*Output, error) {
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("join: canceled before join phase: %w", err)
@@ -158,7 +136,6 @@ func RunWith(ctx context.Context, q *query.Query, srcs []Source, grans []stats.G
 		Combos:  combos,
 		Assign:  assign,
 		K:       k,
-		Config:  cfg,
 		Opts:    opts,
 		Shared:  shared,
 	}
@@ -167,25 +144,38 @@ func RunWith(ctx context.Context, q *query.Query, srcs []Source, grans []stats.G
 	if err != nil {
 		return nil, fmt.Errorf("join: join phase: %w", err)
 	}
-	joinWall := time.Since(joinStart)
 
 	out := &Output{
-		JoinMetrics:    rout.Metrics,
 		Locals:         make([]LocalStats, assign.Reducers),
 		ShippedBuckets: rout.ShippedBuckets,
 		ShippedRecords: rout.ShippedRecords,
 		FloorFrames:    rout.FloorFrames,
+		JoinDuration:   time.Since(joinStart),
 	}
+	lists := make([][]Result, assign.Reducers)
+	seen := make([]bool, assign.Reducers)
 	for _, ro := range rout.Reducers {
+		if ro.Reducer < 0 || ro.Reducer >= assign.Reducers || seen[ro.Reducer] {
+			return nil, fmt.Errorf("join: runner returned reducer %d twice or out of [0,%d)", ro.Reducer, assign.Reducers)
+		}
+		seen[ro.Reducer] = true
 		out.Locals[ro.Reducer] = ro.Stats
-		out.RoutedBucketEntries += ro.Stats.BucketRefsRouted
-		out.RoutedIntervalRecords += ro.Stats.RoutedIntervals
+		lists[ro.Reducer] = ro.Results
 	}
-	// Everything the join job shuffled beyond the counted references
-	// would be raw per-interval records; with the resident store there
-	// are none. (Remote runners have no in-process shuffle to account.)
-	if rout.Metrics != nil {
-		out.RawIntervalsShuffled = int64(rout.Metrics.ShuffleRecords - out.RoutedBucketEntries)
+	for rj := range out.Locals {
+		out.Locals[rj].Reducer = rj
+	}
+	// Routed-reference accounting, in sorted bucket order so the float
+	// sums never depend on map iteration order.
+	for _, key := range sortedBucketKeys(assign.BucketReducers) {
+		reducers := assign.BucketReducers[key]
+		n := float64(len(srcs[key.Col].BucketItems(key.StartG, key.EndG)))
+		for _, rj := range reducers {
+			out.Locals[rj].BucketRefsRouted++
+			out.Locals[rj].RoutedIntervals += n
+		}
+		out.RoutedBucketEntries += len(reducers)
+		out.RoutedIntervalRecords += n * float64(len(reducers))
 	}
 	if shared != nil {
 		out.SharedFloor = shared.Load()
@@ -195,40 +185,20 @@ func RunWith(ctx context.Context, q *query.Query, srcs []Source, grans []stats.G
 		return nil, fmt.Errorf("join: canceled between join and merge phases: %w", err)
 	}
 
-	// Merge phase (Figure 5e): a single-reducer Map-Reduce job combining
-	// local lists into the global top-k.
-	mergeJob := mapreduce.Job[ReducerOutput, int, []Result, []Result]{
-		Name: "rtj-merge",
-		Map: func(in ReducerOutput, emit func(int, []Result)) error {
-			emit(0, in.Results)
-			return nil
-		},
-		Partition: mapreduce.IdentityPartition,
-		Reduce: func(_ int, lists [][]Result, emit func([]Result)) error {
-			topk := NewTopK(k)
-			for _, list := range lists {
-				for _, r := range list {
-					topk.Add(r)
-				}
-			}
-			emit(topk.Results())
-			return nil
-		},
-	}
+	// Merge phase (Figure 5e): the local lists, in reducer-index order,
+	// into the global top-k.
 	mergeStart := time.Now()
-	mergeOut, mergeMetrics, err := mapreduce.Run(mergeJob, rout.Reducers, mapreduce.Config{Mappers: cfg.Mappers, Reducers: 1})
-	if err != nil {
-		return nil, fmt.Errorf("join: merge phase: %w", err)
+	topk := NewTopK(k)
+	for _, list := range lists {
+		for _, r := range list {
+			topk.Add(r)
+		}
 	}
-	out.MergeMetrics = mergeMetrics
-	out.JoinDuration = joinWall
+	out.Results = topk.Results()
 	out.MergeDuration = time.Since(mergeStart)
-	if len(mergeOut) == 1 {
-		out.Results = mergeOut[0]
-	}
 	if out.Results == nil {
-		// Zero merge inputs (empty assignment) or an empty merged list:
-		// keep the no-results contract — an empty slice, never nil.
+		// No reducer returned a result: keep the no-results contract —
+		// an empty slice, never nil.
 		out.Results = []Result{}
 	}
 	return out, nil

@@ -3,11 +3,11 @@ package join
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
-	"sort"
+	"sync"
 
 	"tkij/internal/distribute"
-	"tkij/internal/mapreduce"
 	"tkij/internal/query"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
@@ -16,9 +16,9 @@ import (
 // ReduceRequest is one query's reduce workload, handed to a Runner: the
 // query, its per-vertex sources and granulation grids, the selected
 // combinations, and the workload assignment mapping them onto reducers.
-// The request is runner-agnostic — the local runner evaluates it as one
-// in-process Map-Reduce job; the shard coordinator scatters it to
-// remote workers over the wire.
+// The request is runner-agnostic — the local runner fans it out to
+// in-process reducers; the shard coordinator scatters it to remote
+// workers over the wire.
 type ReduceRequest struct {
 	Query *query.Query
 	// Mapping maps query vertices to collections (vertex v reads
@@ -34,13 +34,19 @@ type ReduceRequest struct {
 	Combos []topbuckets.Combo
 	Assign *distribute.Assignment
 	K      int
-	Config mapreduce.Config
 	Opts   LocalOptions
 	// Shared is the query's cross-reducer score floor; nil when pruning
 	// is disabled. Every reducer — local or remote — must consult and
 	// raise it (remote runners mirror it over their floor-broadcast
 	// channel).
 	Shared *SharedFloor
+}
+
+// ReducerTask is one reducer's share of a query: the reducer's index
+// and its combinations, as indexes into the query's combination list.
+type ReducerTask struct {
+	Reducer int
+	Combos  []int
 }
 
 // ReducerOutput is one reducer's complete output.
@@ -53,11 +59,9 @@ type ReducerOutput struct {
 // RunnerOutput is a Runner's gathered result: every reducer's output
 // plus runner-specific accounting.
 type RunnerOutput struct {
+	// Reducers holds one output per reducer that ran, in any order;
+	// RunWith merges them in reducer-index order.
 	Reducers []ReducerOutput
-	// Metrics is the join Map-Reduce job's accounting when the runner
-	// executed one (the local runner); nil for remote execution, whose
-	// shuffle happens over the wire instead.
-	Metrics *mapreduce.Metrics
 	// ShippedBuckets / ShippedRecords count bucket payloads a remote
 	// runner had to ship to workers that did not own them (zero for the
 	// local runner, where every bucket is resident).
@@ -71,8 +75,9 @@ type RunnerOutput struct {
 
 // Runner executes a query's reduce workload. The local implementation
 // runs every reducer in-process; internal/shard's coordinator scatters
-// reducers to shard workers and gathers their outputs. Run's merge
-// phase is runner-independent, so any Runner that returns each
+// reducers to shard workers and gathers their outputs. Both evaluate
+// reducers through RunTasks, and RunWith's merge and routed-reference
+// accounting are runner-independent, so any Runner that returns each
 // reducer's exact local top-k yields byte-identical final results.
 type Runner interface {
 	RunReducers(ctx context.Context, req *ReduceRequest) (*RunnerOutput, error)
@@ -83,94 +88,87 @@ type Runner interface {
 // Cancel hook fired).
 var errJoinCanceled = errors.New("join: local reducer canceled")
 
-// localRunner is the default Runner: the in-process join Map-Reduce job
-// of Figure 5 (c)-(d), shuffling bucket references to reduce tasks that
-// each evaluate their combination share against the resident store.
+// localRunner is the default Runner: every reducer of the assignment
+// runs in-process against the resident store.
 type localRunner struct{}
 
 func (localRunner) RunReducers(ctx context.Context, req *ReduceRequest) (*RunnerOutput, error) {
-	// A cancelable context makes reducers poll it mid-combination (see
-	// LocalOptions.Cancel): abandoned callers stop burning reducer time.
-	// Background-like contexts (Done() == nil) keep the hot loop free of
-	// the polling branch entirely.
-	opts := req.Opts
-	if opts.Cancel == nil && ctx.Done() != nil {
-		opts.Cancel = func() bool { return ctx.Err() != nil }
+	tasks := make([]ReducerTask, req.Assign.Reducers)
+	for rj := range tasks {
+		tasks[rj] = ReducerTask{Reducer: rj, Combos: req.Assign.ReducerCombos[rj]}
 	}
-	assign := req.Assign
-	cfg := req.Config
-	cfg.Reducers = assign.Reducers
-
-	// Per-reducer combination lists, in the assignment's order.
-	reducerCombos := make([][]topbuckets.Combo, assign.Reducers)
-	for rj, idxs := range assign.ReducerCombos {
-		for _, ci := range idxs {
-			reducerCombos[rj] = append(reducerCombos[rj], req.Combos[ci])
-		}
-	}
-
-	// One input per routed bucket, in deterministic key order. Buckets
-	// outside the assignment (pruned by TopBuckets) are never routed —
-	// the same I/O saving as before, now measured in references.
-	inputs := make([]bucketRoute, 0, len(assign.BucketReducers))
-	for _, key := range sortedBucketKeys(assign.BucketReducers) {
-		inputs = append(inputs, bucketRoute{
-			key:      key,
-			count:    len(req.Srcs[key.Col].BucketItems(key.StartG, key.EndG)),
-			reducers: assign.BucketReducers[key],
-		})
-	}
-
-	plan := newPlan(req.Query)
-	if req.Opts.Share != nil {
-		plan.computeEdgeSigs()
-	}
-	joinJob := mapreduce.Job[bucketRoute, int, routedRef, ReducerOutput]{
-		Name: "rtj-join",
-		Map: func(in bucketRoute, emit func(int, routedRef)) error {
-			for _, rj := range in.reducers {
-				emit(rj, routedRef{count: in.count})
-			}
-			return nil
-		},
-		Partition: mapreduce.IdentityPartition,
-		Reduce: func(rj int, refs []routedRef, emit func(ReducerOutput)) error {
-			lj := newLocalJoiner(plan, req.K, opts, req.Srcs, req.Grans, req.Shared)
-			results := lj.Run(reducerCombos[rj])
-			if lj.canceled {
-				// Truncated output must never reach the merge.
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				return errJoinCanceled
-			}
-			lj.stats.Reducer = rj
-			lj.stats.BucketRefsRouted = len(refs)
-			for _, ref := range refs {
-				lj.stats.RoutedIntervals += float64(ref.count)
-			}
-			emit(ReducerOutput{Reducer: rj, Results: results, Stats: lj.stats})
-			return nil
-		},
-	}
-	out, metrics, err := mapreduce.Run(joinJob, inputs, cfg)
+	outs, err := RunTasks(ctx, req.Query, req.K, req.Srcs, req.Grans, req.Combos, tasks, req.Opts, req.Shared)
 	if err != nil {
 		return nil, err
 	}
-	// Reducer-index order, the same order every runner hands the merge:
-	// the merge's top-k admits the first arrival among equal-score
-	// results, so the reducer list order is part of the byte-identity
-	// contract between the local and the sharded runner. The shuffle's
-	// first-seen order depends on which bucket routed to a reducer
-	// first — deterministic, but not index order.
-	sort.Slice(out, func(i, j int) bool { return out[i].Reducer < out[j].Reducer })
-	return &RunnerOutput{Reducers: out, Metrics: metrics}, nil
+	return &RunnerOutput{Reducers: outs}, nil
+}
+
+// RunTasks is the reducer fan-out of steps (c)-(d) of Figure 5: each
+// task evaluates its combination share on its own goroutine against
+// srcs, and the outputs come back in task order. It is the one
+// per-reducer entry every runner shares — the local runner hands it the
+// whole assignment, a shard worker the tasks scattered to it.
+//
+// shared is the live cross-reducer floor: consulted and raised
+// throughout the run, so raises arriving mid-query (from sibling
+// reducers or a floor broadcast) early-terminate a reducer. nil
+// disables sharing. grans may be nil (trivial per-edge bounds). When
+// ctx is cancelable the reducers poll it mid-combination; a canceled
+// reducer fails the whole call, so truncated output never reaches a
+// merge.
+func RunTasks(ctx context.Context, q *query.Query, k int, srcs []Source, grans []stats.Grid,
+	combos []topbuckets.Combo, tasks []ReducerTask, opts LocalOptions, shared *SharedFloor) ([]ReducerOutput, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	if k < 1 {
+		return nil, fmt.Errorf("join: k must be >= 1, got %d", k)
+	}
+	if len(srcs) != q.NumVertices {
+		return nil, fmt.Errorf("join: query %s has %d vertices but %d sources", q.Name, q.NumVertices, len(srcs))
+	}
+	// Background-like contexts (Done() == nil) keep the hot loop free
+	// of the polling branch entirely.
+	if opts.Cancel == nil && ctx.Done() != nil {
+		opts.Cancel = func() bool { return ctx.Err() != nil }
+	}
+	plan := newPlan(q)
+	if opts.Share != nil {
+		plan.computeEdgeSigs()
+	}
+	outs := make([]ReducerOutput, len(tasks))
+	canceled := make([]bool, len(tasks))
+	var wg sync.WaitGroup
+	for i, t := range tasks {
+		wg.Add(1)
+		go func(i int, t ReducerTask) {
+			defer wg.Done()
+			own := make([]topbuckets.Combo, len(t.Combos))
+			for j, ci := range t.Combos {
+				own[j] = combos[ci]
+			}
+			lj := newLocalJoiner(plan, k, opts, srcs, grans, shared)
+			results := lj.Run(own)
+			lj.stats.Reducer = t.Reducer
+			outs[i] = ReducerOutput{Reducer: t.Reducer, Results: results, Stats: lj.stats}
+			canceled[i] = lj.canceled
+		}(i, t)
+	}
+	wg.Wait()
+	if slices.Contains(canceled, true) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, errJoinCanceled
+	}
+	return outs, nil
 }
 
 // sortedBucketKeys returns an assignment's routed bucket keys in
-// deterministic (col, startG, endG) order — the snapshot section order,
-// shared by the local runner's shuffle inputs and the shard
-// coordinator's shipping plans.
+// deterministic (col, startG, endG) order — the snapshot section order
+// — so RunWith's routed-reference accounting never depends on map
+// iteration order.
 func sortedBucketKeys(m map[stats.BucketKey][]int) []stats.BucketKey {
 	keys := make([]stats.BucketKey, 0, len(m))
 	for key := range m {

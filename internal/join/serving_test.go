@@ -54,8 +54,9 @@ func TestSharedFloorConcurrentRaise(t *testing.T) {
 	}
 }
 
-// The join job must shuffle bucket references, never raw intervals, and
-// its replication accounting must agree with the assignment's metric.
+// Routed-reference accounting must agree with the assignment's
+// replication metric, and every reducer — idle ones included — must
+// report its own index.
 func TestRoutedReferenceAccounting(t *testing.T) {
 	cols := synthCols(3, 60, 41)
 	ms, _, err := stats.Collect(cols, 5, mapreduce.Config{})
@@ -78,13 +79,6 @@ func TestRoutedReferenceAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.RawIntervalsShuffled != 0 {
-		t.Fatalf("store-backed join shuffled %d raw intervals", out.RawIntervalsShuffled)
-	}
-	if out.RoutedBucketEntries != out.JoinMetrics.ShuffleRecords {
-		t.Fatalf("RoutedBucketEntries %d != join ShuffleRecords %d",
-			out.RoutedBucketEntries, out.JoinMetrics.ShuffleRecords)
-	}
 	wantEntries := 0
 	for _, rs := range assign.BucketReducers {
 		wantEntries += len(rs)
@@ -92,10 +86,29 @@ func TestRoutedReferenceAccounting(t *testing.T) {
 	if out.RoutedBucketEntries != wantEntries {
 		t.Fatalf("RoutedBucketEntries = %d, want %d (Σ|reducers(b)|)", out.RoutedBucketEntries, wantEntries)
 	}
-	// DTB's replication metric is preserved under the reference shuffle.
+	// DTB's replication metric is preserved by the reference routing.
 	if math.Abs(out.RoutedIntervalRecords-assign.ReplicatedRecords) > 1e-9 {
 		t.Fatalf("RoutedIntervalRecords = %g, assignment ReplicatedRecords = %g",
 			out.RoutedIntervalRecords, assign.ReplicatedRecords)
+	}
+
+	// More reducers than combinations leaves some reducers idle; their
+	// Locals entries must still name them.
+	wide, err := distribute.DTB(tb.Selected, len(tb.Selected)+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = Run(context.Background(), q, srcs, grans, tb.Selected, wide, k, mapreduce.Config{}, LocalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Locals) != wide.Reducers {
+		t.Fatalf("%d Locals entries for %d reducers", len(out.Locals), wide.Reducers)
+	}
+	for i, l := range out.Locals {
+		if l.Reducer != i {
+			t.Fatalf("Locals[%d].Reducer = %d", i, l.Reducer)
+		}
 	}
 }
 
@@ -136,10 +149,12 @@ func TestSharedThresholdSoundness(t *testing.T) {
 func TestLocalStatsJSONSafe(t *testing.T) {
 	q := query.MustNew("pair", 2, []query.Edge{{From: 0, To: 1, Pred: scoring.Before(scoring.P1)}}, scoring.Avg{})
 	// No data at all: the local join returns zero results.
-	results, st, err := RunLocal(q, 3, nil, nil, nil, LocalOptions{})
+	srcs := []Source{newMapSource(0, nil), newMapSource(1, nil)}
+	outs, err := RunTasks(context.Background(), q, 3, srcs, nil, nil, []ReducerTask{{}}, LocalOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, st := outs[0].Results, outs[0].Stats
 	if len(results) != 0 {
 		t.Fatalf("expected no results, got %d", len(results))
 	}

@@ -1,10 +1,10 @@
 // Package join implements TKIJ's distributed join phase (§3.4, steps
-// (c)-(e) of Figure 5): routing each interval to the reducers that own
-// its bucket, evaluating the full RTJ query locally on every reducer —
+// (c)-(e) of Figure 5): routing bucket references to the reducers that
+// need them, evaluating the full RTJ query locally on every reducer —
 // combinations visited in descending score-upper-bound order, candidate
 // intervals fetched through per-bucket R-trees with score-threshold
 // boxes, partial tuples pruned against the current k-th score — and a
-// final Map-Reduce job merging local top-k lists into the query answer.
+// final merge of the local top-k lists into the query answer.
 package join
 
 import (

@@ -94,7 +94,27 @@ func (env *pipelineEnv) request(opts join.LocalOptions) *join.ReduceRequest {
 	}
 	return &join.ReduceRequest{
 		Query: env.q, Srcs: env.srcs, Grans: env.grans, Combos: env.combos,
-		Assign: env.assign, K: env.k, Config: mapreduce.Config{}, Opts: opts, Shared: shared,
+		Assign: env.assign, K: env.k, Opts: opts, Shared: shared,
+	}
+}
+
+// assertSameRouting checks that a remote run reports the local runner's
+// routed-reference accounting: per reducer and in total.
+func assertSameRouting(t *testing.T, local, remote *join.Output) {
+	t.Helper()
+	if len(remote.Locals) != len(local.Locals) {
+		t.Fatalf("remote reports %d reducers, local %d", len(remote.Locals), len(local.Locals))
+	}
+	for i, l := range local.Locals {
+		r := remote.Locals[i]
+		if r.Reducer != i || r.BucketRefsRouted != l.BucketRefsRouted || r.RoutedIntervals != l.RoutedIntervals {
+			t.Fatalf("reducer %d: remote (#%d, %d refs, %g intervals), local (#%d, %d refs, %g intervals)",
+				i, r.Reducer, r.BucketRefsRouted, r.RoutedIntervals, l.Reducer, l.BucketRefsRouted, l.RoutedIntervals)
+		}
+	}
+	if remote.RoutedBucketEntries != local.RoutedBucketEntries || remote.RoutedIntervalRecords != local.RoutedIntervalRecords {
+		t.Fatalf("routed totals: remote (%d, %g), local (%d, %g)", remote.RoutedBucketEntries, remote.RoutedIntervalRecords,
+			local.RoutedBucketEntries, local.RoutedIntervalRecords)
 	}
 }
 
@@ -141,6 +161,7 @@ func TestClusterEquivalence(t *testing.T) {
 					t.Fatalf("seed %d, %d shards (noFloor=%v): remote results differ from local\nremote: %v\nlocal:  %v",
 						seed, n, noFloor, remote.Results, local.Results)
 				}
+				assertSameRouting(t, local, remote)
 				if n > 1 && remote.ShippedBuckets == 0 && len(env.assign.BucketReducers) > 1 {
 					// With round-robin reducers over a partitioned store,
 					// some bucket is essentially always foreign.

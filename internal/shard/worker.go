@@ -2,17 +2,16 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/rtree"
 	"tkij/internal/store"
-	"tkij/internal/topbuckets"
 )
 
 // Worker is one shard: a replica store holding its owned slice of the
@@ -332,7 +331,7 @@ func (w *Worker) execute(f *QueryFrame, wq *workerQuery, view *store.View, fw *f
 	_ = fw.send(&ResultFrame{QueryID: f.QueryID, Epoch: f.Epoch, Reducers: reducers})
 }
 
-func (w *Worker) runTasks(f *QueryFrame, wq *workerQuery, view *store.View) ([]ReducerResult, error) {
+func (w *Worker) runTasks(f *QueryFrame, wq *workerQuery, view *store.View) ([]join.ReducerOutput, error) {
 	q := f.Query
 
 	// Foreign buckets shipped with the query, collection-scoped. They
@@ -381,35 +380,9 @@ func (w *Worker) runTasks(f *QueryFrame, wq *workerQuery, view *store.View) ([]R
 		DisablePruning: f.DisablePruning,
 		Floor:          f.Floor,
 	}
-	reducers := make([]ReducerResult, len(f.Tasks))
-	errs := make([]error, len(f.Tasks))
-	var tg sync.WaitGroup
-	for i := range f.Tasks {
-		tg.Add(1)
-		go func(i int) {
-			defer tg.Done()
-			t := f.Tasks[i]
-			combos := make([]topbuckets.Combo, len(t.Combos))
-			for j, ci := range t.Combos {
-				combos[j] = f.Combos[ci]
-			}
-			results, st, err := join.RunReducer(q, f.K, combos, srcs, f.Grids, opts, wq.floor)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			st.Reducer = t.Reducer
-			reducers[i] = ReducerResult{Reducer: t.Reducer, Stats: st, Results: results}
-		}(i)
-	}
-	tg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(reducers, func(i, j int) bool { return reducers[i].Reducer < reducers[j].Reducer })
-	return reducers, nil
+	// The worker is context-free (see Worker): aborts arrive as the link
+	// dying, so its reducers never poll a context.
+	return join.RunTasks(context.Background(), q, f.K, srcs, f.Grids, f.Combos, f.Tasks, opts, wq.floor)
 }
 
 // shippedBucket is one foreign bucket's payload with a lazily memoized

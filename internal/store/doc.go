@@ -12,8 +12,8 @@
 // dataset preparation: each collection's intervals are partitioned by
 // bucket exactly once, and each bucket's R-tree is bulk-built lazily on
 // first use and memoized — shared across queries and across concurrent
-// reducers. The join job then shuffles bucket *references* instead of
-// interval records.
+// reducers. Reducers then read bucket slices in place, and the join
+// accounts for bucket *references* instead of interval records.
 //
 // # Epochs
 //
