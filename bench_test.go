@@ -11,11 +11,15 @@ import (
 	"testing"
 	"time"
 
+	"tkij/internal/distribute"
 	"tkij/internal/experiments"
 	"tkij/internal/interval"
 	"tkij/internal/join"
+	"tkij/internal/mapreduce"
 	"tkij/internal/scoring"
 	"tkij/internal/solver"
+	"tkij/internal/stats"
+	"tkij/internal/topbuckets"
 )
 
 // benchScale keeps each figure benchmark in the seconds range.
@@ -378,5 +382,38 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 		if _, err := engine.Execute(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkColdPlan measures the query-time planning a plan-cache miss
+// pays — TopBuckets (loose strategy) then DTB over 24 reducers — per
+// Table-1 shape, on three 20,000-interval uniform collections at
+// g = 40, k = 100.
+func BenchmarkColdPlan(b *testing.B) {
+	cols := []*interval.Collection{
+		Uniform("C1", 20000, 1), Uniform("C2", 20000, 2), Uniform("C3", 20000, 3),
+	}
+	ms, _, err := stats.Collect(cols, 40, mapreduce.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := QueryEnv{Params: P1, Avg: AvgLength(cols...)}
+	for _, name := range []string{"Qb,b", "Qo,m", "Qs,m", "Qs,f,m"} {
+		q, err := QueryByName(name, env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tb, err := topbuckets.Run(q, ms, 100, topbuckets.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := distribute.Assign(distribute.AlgDTB, tb.Selected, 24); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -33,8 +33,9 @@ type Assignment struct {
 	ReplicatedRecords float64
 }
 
-// ResultImbalance returns max/avg of ReducerResults over reducers that
-// received work — the worst-case output imbalance the assignment allows.
+// ResultImbalance returns max/avg of ReducerResults, the average taken
+// over all r reducers (idle ones included) — the worst-case output
+// imbalance the assignment allows.
 func (a *Assignment) ResultImbalance() float64 {
 	var max, sum float64
 	n := 0
@@ -51,28 +52,46 @@ func (a *Assignment) ResultImbalance() float64 {
 	return max / (sum / float64(n))
 }
 
-// assignmentState tracks per-reducer load during construction.
+// assignmentState tracks per-reducer load during construction. The
+// distinct buckets of the input are numbered once; presence of bucket
+// id on reducer rj is on[id*r+rj].
 type assignmentState struct {
-	a           *Assignment
-	comboCount  []int                            // |Ω_rj|
-	bucketOn    map[stats.BucketKey]map[int]bool // bucket -> reducers holding it
-	bucketCount map[stats.BucketKey]int          // |b| cache
+	a          *Assignment
+	comboCount []int             // |Ω_rj|
+	keys       []stats.BucketKey // bucket id -> identity
+	ids        []int             // every combination's bucket ids, concatenated
+	first      []int             // combination ci's ids are ids[first[ci]:first[ci+1]]
+	on         []bool            // bucket id × reducer -> holds a copy
 }
 
-func newState(algorithm string, nCombos, r int) *assignmentState {
-	return &assignmentState{
+func newState(algorithm string, combos []topbuckets.Combo, r int) *assignmentState {
+	s := &assignmentState{
 		a: &Assignment{
 			Algorithm:      algorithm,
 			Reducers:       r,
-			ComboReducer:   make([]int, nCombos),
+			ComboReducer:   make([]int, len(combos)),
 			ReducerCombos:  make([][]int, r),
 			BucketReducers: make(map[stats.BucketKey][]int),
 			ReducerResults: make([]float64, r),
 		},
-		comboCount:  make([]int, r),
-		bucketOn:    make(map[stats.BucketKey]map[int]bool),
-		bucketCount: make(map[stats.BucketKey]int),
+		comboCount: make([]int, r),
+		first:      make([]int, len(combos)+1),
 	}
+	index := make(map[stats.BucketKey]int)
+	for ci, c := range combos {
+		for _, b := range c.Buckets {
+			id, ok := index[b.Key()]
+			if !ok {
+				id = len(s.keys)
+				index[b.Key()] = id
+				s.keys = append(s.keys, b.Key())
+			}
+			s.ids = append(s.ids, id)
+		}
+		s.first[ci+1] = len(s.ids)
+	}
+	s.on = make([]bool, len(s.keys)*r)
+	return s
 }
 
 // assign records combination comboIdx (with the given buckets and result
@@ -82,16 +101,10 @@ func (s *assignmentState) assign(comboIdx int, c topbuckets.Combo, rj int) {
 	s.a.ReducerCombos[rj] = append(s.a.ReducerCombos[rj], comboIdx)
 	s.a.ReducerResults[rj] += c.NbRes
 	s.comboCount[rj]++
-	for _, b := range c.Buckets {
-		key := b.Key()
-		s.bucketCount[key] = b.Count
-		on := s.bucketOn[key]
-		if on == nil {
-			on = make(map[int]bool)
-			s.bucketOn[key] = on
-		}
-		if !on[rj] {
-			on[rj] = true
+	ids := s.ids[s.first[comboIdx]:]
+	for i, b := range c.Buckets {
+		if at := ids[i]*s.a.Reducers + rj; !s.on[at] {
+			s.on[at] = true
 			s.a.ReplicatedRecords += float64(b.Count)
 		}
 	}
@@ -99,19 +112,22 @@ func (s *assignmentState) assign(comboIdx int, c topbuckets.Combo, rj int) {
 
 // finalize freezes the bucket→reducer sets in sorted order.
 func (s *assignmentState) finalize() *Assignment {
-	for key, on := range s.bucketOn {
-		rs := make([]int, 0, len(on))
-		for rj := range on {
-			rs = append(rs, rj)
+	r := s.a.Reducers
+	for id, key := range s.keys {
+		var rs []int
+		for rj, on := range s.on[id*r : (id+1)*r] {
+			if on {
+				rs = append(rs, rj)
+			}
 		}
-		sort.Ints(rs)
 		s.a.BucketReducers[key] = rs
 	}
 	return s.a
 }
 
-// inCost returns the input cost that assigning ω to rj would *add*: the
-// total cardinality of ω's buckets not yet present on rj.
+// inCost returns the input cost that assigning combination comboIdx to
+// rj would *add*: the total cardinality of its buckets not yet present
+// on rj.
 //
 // Note on fidelity: Algorithm 4 as printed defines inCost with
 // Φ(rj, b) = 1 when b is already on rj and then minimizes it, which
@@ -120,10 +136,11 @@ func (s *assignmentState) finalize() *Assignment {
 // assignments that reduce replication cost"). We follow the prose:
 // minimize the *newly shipped* records, which is equivalent to
 // maximizing the already-present fraction.
-func (s *assignmentState) inCost(c topbuckets.Combo, rj int) float64 {
+func (s *assignmentState) inCost(comboIdx int, c topbuckets.Combo, rj int) float64 {
 	var cost float64
-	for _, b := range c.Buckets {
-		if !s.bucketOn[b.Key()][rj] {
+	ids := s.ids[s.first[comboIdx]:]
+	for i, b := range c.Buckets {
+		if !s.on[ids[i]*s.a.Reducers+rj] {
 			cost += float64(b.Count)
 		}
 	}
@@ -148,7 +165,7 @@ func DTB(combos []topbuckets.Combo, r int) (*Assignment, error) {
 	if err := checkArgs(combos, r); err != nil {
 		return nil, err
 	}
-	s := newState("DTB", len(combos), r)
+	s := newState("DTB", combos, r)
 	var totalRes float64
 	for _, c := range combos {
 		totalRes += c.NbRes
@@ -156,7 +173,7 @@ func DTB(combos []topbuckets.Combo, r int) (*Assignment, error) {
 	avgRes := totalRes / float64(r)
 	order := sortIdx(len(combos), func(i, j int) bool { return combos[i].UB > combos[j].UB })
 	for _, ci := range order {
-		rj := s.getReducer(combos[ci], avgRes)
+		rj := s.getReducer(ci, combos[ci], avgRes)
 		s.assign(ci, combos[ci], rj)
 	}
 	return s.finalize(), nil
@@ -165,7 +182,7 @@ func DTB(combos []topbuckets.Combo, r int) (*Assignment, error) {
 // getReducer implements Algorithm 4: among reducers under the 2×avgRes
 // result cap, restrict to those with the fewest assigned combinations,
 // then pick the one with the lowest added input cost.
-func (s *assignmentState) getReducer(c topbuckets.Combo, avgRes float64) int {
+func (s *assignmentState) getReducer(comboIdx int, c topbuckets.Combo, avgRes float64) int {
 	r := s.a.Reducers
 	underCap := func(rj int) bool { return s.a.ReducerResults[rj] < 2*avgRes }
 	// If every reducer is over the cap (degenerate: one combination
@@ -190,7 +207,7 @@ func (s *assignmentState) getReducer(c topbuckets.Combo, avgRes float64) int {
 		if !eligible(rj) || s.comboCount[rj] != minAssigned {
 			continue
 		}
-		cost := s.inCost(c, rj)
+		cost := s.inCost(comboIdx, c, rj)
 		if best == -1 || cost < bestCost {
 			best, bestCost = rj, cost
 		}
@@ -204,7 +221,7 @@ func LPT(combos []topbuckets.Combo, r int) (*Assignment, error) {
 	if err := checkArgs(combos, r); err != nil {
 		return nil, err
 	}
-	s := newState("LPT", len(combos), r)
+	s := newState("LPT", combos, r)
 	order := sortIdx(len(combos), func(i, j int) bool { return combos[i].NbRes > combos[j].NbRes })
 	for _, ci := range order {
 		best := 0
@@ -224,7 +241,7 @@ func RoundRobin(combos []topbuckets.Combo, r int) (*Assignment, error) {
 	if err := checkArgs(combos, r); err != nil {
 		return nil, err
 	}
-	s := newState("RoundRobin", len(combos), r)
+	s := newState("RoundRobin", combos, r)
 	order := sortIdx(len(combos), func(i, j int) bool { return combos[i].UB > combos[j].UB })
 	for pos, ci := range order {
 		s.assign(ci, combos[ci], pos%r)

@@ -87,7 +87,7 @@ func (c *Cache) revalidate(e *entry, req Request, reqLabeling []int) (*entry, *P
 	// entries are immutable and may be serving other queries right
 	// now) ...
 	sel := make([]topbuckets.Combo, len(e.tb.Selected))
-	seen := make(map[string]bool, len(sel))
+	var seen topbuckets.ComboSet
 	var dirty []int
 	for i, old := range e.tb.Selected {
 		cb := old
@@ -101,7 +101,7 @@ func (c *Cache) revalidate(e *entry, req Request, reqLabeling []int) (*entry, *P
 			cb.NbRes *= float64(b.Count)
 		}
 		sel[i] = cb
-		seen[cb.Key()] = true
+		seen.Add(cb.Buckets)
 		if cb.Touches(affected) {
 			dirty = append(dirty, i)
 		}
@@ -111,13 +111,14 @@ func (c *Cache) revalidate(e *entry, req Request, reqLabeling []int) (*entry, *P
 	// bucket; their old UB <= t_old no longer binds).
 	var fresh []topbuckets.Combo
 	_ = topbuckets.EnumerateAffected(lists, affected, func(buckets []stats.Bucket) error {
+		if seen.Has(buckets) {
+			return nil
+		}
 		cb := topbuckets.Combo{Buckets: append([]stats.Bucket(nil), buckets...), NbRes: 1}
 		for _, b := range cb.Buckets {
 			cb.NbRes *= float64(b.Count)
 		}
-		if !seen[cb.Key()] {
-			fresh = append(fresh, cb)
-		}
+		fresh = append(fresh, cb)
 		return nil
 	})
 

@@ -24,24 +24,6 @@ type Combo struct {
 	NbRes float64
 }
 
-// key returns a comparable identity for deduplication and deterministic
-// tie-breaking.
-func (c *Combo) key() string {
-	// Buckets are small; a compact string key keeps this allocation-light
-	// enough for selection-time use only (not the enumeration hot path).
-	k := make([]byte, 0, len(c.Buckets)*6)
-	for _, b := range c.Buckets {
-		k = append(k, byte(b.Col), byte(b.StartG>>8), byte(b.StartG), byte(b.EndG>>8), byte(b.EndG), '|')
-	}
-	return string(k)
-}
-
-// Key returns the combination's comparable identity — the bucket tuple
-// without counts or bounds. The plan cache uses it to match a
-// combination across epochs (counts grow, bounds may be recomputed, the
-// identity stays).
-func (c *Combo) Key() string { return c.key() }
-
 // Touches reports whether any of the combination's buckets satisfies
 // affected(vertex, bucket) — the per-combination touched-bucket test
 // revalidation uses to decide which cached bounds must be recomputed
@@ -119,7 +101,7 @@ func EnumerateAffected(bucketLists [][]stats.Bucket, affected func(v int, b stat
 		if empty {
 			continue
 		}
-		if err := enumerate(sub, fn); err != nil {
+		if err := enumerate(sub, func(_ []int, buckets []stats.Bucket) error { return fn(buckets) }); err != nil {
 			return err
 		}
 	}
@@ -138,31 +120,43 @@ func boxesFor(matrices []*stats.Matrix, buckets []stats.Bucket) []solver.VertexB
 
 // enumerate walks the full combination space Ω — the cartesian product
 // of each collection's non-empty buckets — in deterministic row-major
-// order, invoking fn for each combination's bucket tuple. The buckets
-// slice passed to fn is reused across calls; fn must copy it to retain
-// it. enumerate returns an error from fn, stopping early.
-func enumerate(bucketLists [][]stats.Bucket, fn func(buckets []stats.Bucket) error) error {
+// order, invoking fn for each combination's bucket positions (pos[v]
+// indexes bucketLists[v]) and bucket tuple. Both slices passed to fn
+// are reused across calls; fn must copy them to retain them. enumerate
+// returns an error from fn, stopping early.
+func enumerate(bucketLists [][]stats.Bucket, fn func(pos []int, buckets []stats.Bucket) error) error {
+	return enumerateRange(bucketLists, 0, len(bucketLists[0]), fn)
+}
+
+// enumerateRange is enumerate restricted to the combinations whose
+// first bucket lies at positions [lo, hi) of bucketLists[0]; positions
+// stay those of the full lists.
+func enumerateRange(bucketLists [][]stats.Bucket, lo, hi int, fn func(pos []int, buckets []stats.Bucket) error) error {
 	n := len(bucketLists)
 	idx := make([]int, n)
+	idx[0] = lo
 	cur := make([]stats.Bucket, n)
 	for {
 		for i := 0; i < n; i++ {
 			cur[i] = bucketLists[i][idx[i]]
 		}
-		if err := fn(cur); err != nil {
+		if err := fn(idx, cur); err != nil {
 			return err
 		}
 		// Odometer increment, last position fastest.
 		i := n - 1
-		for ; i >= 0; i-- {
+		for ; i > 0; i-- {
 			idx[i]++
 			if idx[i] < len(bucketLists[i]) {
 				break
 			}
 			idx[i] = 0
 		}
-		if i < 0 {
-			return nil
+		if i == 0 {
+			idx[0]++
+			if idx[0] >= hi {
+				return nil
+			}
 		}
 	}
 }

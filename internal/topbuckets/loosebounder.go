@@ -27,6 +27,13 @@ type LooseBounder struct {
 	Solved int
 }
 
+// pairKey identifies a bucket pair within one edge's memo table. The
+// memo outlives an epoch's bucket lists, so it is keyed by bucket
+// identity rather than list position.
+type pairKey struct {
+	from, to stats.BucketKey
+}
+
 // NewLooseBounder returns an empty bounder for q; opts supplies the
 // pair-solver tuning (the strategy field is ignored — a bounder is
 // always loose).

@@ -1,8 +1,10 @@
 package topbuckets
 
 import (
-	"container/heap"
+	"cmp"
 	"sort"
+
+	"tkij/internal/stats"
 )
 
 // This file implements the Top Buckets selection of Algorithm 1
@@ -36,42 +38,34 @@ import (
 //     (e.g. a single combination selected for Qb,b) while making the
 //     exactness guarantee robust to ties.
 
-// lbCover is a min-heap over (LB, nbRes) retaining the minimal
-// descending-LB set of combinations covering at least k results.
+// lbCover is a min-heap over LB retaining the minimal descending-LB set
+// of combinations covering at least k results. Every item owns its
+// Buckets; spare is the tuple of the last item dropped, reused by the
+// next item kept.
 type lbCover struct {
 	k     float64
 	total float64
 	items lbHeap
-}
-
-type lbItem struct {
-	lb    float64
-	nbRes float64
-	combo Combo
-}
-
-type lbHeap []lbItem
-
-func (h lbHeap) Len() int            { return len(h) }
-func (h lbHeap) Less(i, j int) bool  { return h[i].lb < h[j].lb }
-func (h lbHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *lbHeap) Push(x interface{}) { *h = append(*h, x.(lbItem)) }
-func (h *lbHeap) Pop() interface{} {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
+	spare []stats.Bucket
 }
 
 func newLBCover(k int) *lbCover { return &lbCover{k: float64(k)} }
 
-// add offers one combination to the cover.
+// add offers one combination to the cover. cb.Buckets may be a buffer
+// the caller reuses: add copies it only if the cover keeps cb.
 func (c *lbCover) add(cb Combo) {
-	heap.Push(&c.items, lbItem{lb: cb.LB, nbRes: cb.NbRes, combo: cb})
+	at := c.items.push(cb)
 	c.total += cb.NbRes
-	for len(c.items) > 1 && c.total-c.items[0].nbRes >= c.k {
-		c.total -= c.items[0].nbRes
-		heap.Pop(&c.items)
+	for len(c.items) > 1 && c.total-c.items[0].NbRes >= c.k {
+		c.total -= c.items[0].NbRes
+		if at != 0 {
+			c.spare = c.items[0].Buckets
+		}
+		at = c.items.pop(at)
+	}
+	if at >= 0 {
+		c.items[at].Buckets = append(c.spare[:0], cb.Buckets...)
+		c.spare = nil
 	}
 }
 
@@ -82,17 +76,74 @@ func (c *lbCover) threshold() float64 {
 	if len(c.items) == 0 {
 		return 0
 	}
-	return c.items[0].lb
+	return c.items[0].LB
 }
 
 // cover returns the covered combinations (H) in descending-LB order.
 func (c *lbCover) cover() []Combo {
-	out := make([]Combo, len(c.items))
-	for i, it := range c.items {
-		out[i] = it.combo
-	}
+	out := append([]Combo(nil), c.items...)
 	sortCombos(out, func(a, b Combo) bool { return a.LB > b.LB })
 	return out
+}
+
+// lbHeap is a min-heap on LB. push and pop take container/heap's exact
+// sift steps, so ties among equal LBs leave the same layout, and they
+// follow one watched index through their swaps.
+type lbHeap []Combo
+
+// push adds c and returns its index.
+func (h *lbHeap) push(c Combo) int {
+	*h = append(*h, c)
+	s := *h
+	j := len(s) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].LB < s[i].LB) {
+			return j
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes the minimum and returns the new index of the item at w,
+// or -1 if that item was the one removed.
+func (h *lbHeap) pop(w int) int {
+	s := *h
+	n := len(s) - 1
+	w = s.swap(0, n, w)
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].LB < s[j].LB {
+			j = j2
+		}
+		if !(s[j].LB < s[i].LB) {
+			break
+		}
+		w = s.swap(i, j, w)
+		i = j
+	}
+	s[n] = Combo{}
+	*h = s[:n]
+	if w == n {
+		return -1
+	}
+	return w
+}
+
+// swap exchanges items i and j and returns where the item at w now is.
+func (h lbHeap) swap(i, j, w int) int {
+	h[i], h[j] = h[j], h[i]
+	switch w {
+	case i:
+		return j
+	case j:
+		return i
+	}
+	return w
 }
 
 // sortCombos sorts with a deterministic tie-break on bucket identity.
@@ -104,8 +155,73 @@ func sortCombos(cs []Combo, less func(a, b Combo) bool) {
 		if less(cs[j], cs[i]) {
 			return false
 		}
-		return cs[i].key() < cs[j].key()
+		return compareTuples(cs[i].Buckets, cs[j].Buckets) < 0
 	})
+}
+
+// compareTuples orders bucket tuples field by field: Col, StartG, EndG
+// of the first vertex, then of the next; a proper prefix sorts first.
+// Counts are not part of a combination's identity.
+func compareTuples(a, b []stats.Bucket) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		x, y := a[i], b[i]
+		switch {
+		case x.Col != y.Col:
+			return cmp.Compare(x.Col, y.Col)
+		case x.StartG != y.StartG:
+			return cmp.Compare(x.StartG, y.StartG)
+		case x.EndG != y.EndG:
+			return cmp.Compare(x.EndG, y.EndG)
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// ComboSet is a set of combinations by identity: the bucket tuple,
+// without counts or bounds. The plan cache uses it to match a
+// combination across epochs (counts grow, bounds may be recomputed, the
+// identity stays). Lookups allocate nothing. The zero value is empty.
+type ComboSet struct {
+	last    map[uint64]int   // tuple hash -> 1 + index of its latest member
+	members [][]stats.Bucket // retained tuples, in insertion order
+	prev    []int            // per member: 1 + index of the previous one with its hash, or 0
+}
+
+// Has reports whether a tuple equal to buckets is in the set.
+func (s *ComboSet) Has(buckets []stats.Bucket) bool {
+	for i := s.last[hashTuple(buckets)]; i > 0; i = s.prev[i-1] {
+		if compareTuples(s.members[i-1], buckets) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Add inserts buckets, which the set retains, unless an equal tuple is
+// already present.
+func (s *ComboSet) Add(buckets []stats.Bucket) {
+	if s.Has(buckets) {
+		return
+	}
+	if s.last == nil {
+		s.last = make(map[uint64]int)
+	}
+	h := hashTuple(buckets)
+	s.members = append(s.members, buckets)
+	s.prev = append(s.prev, s.last[h])
+	s.last[h] = len(s.members)
+}
+
+// hashTuple is FNV-1a over the identity fields of every bucket.
+func hashTuple(buckets []stats.Bucket) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, b := range buckets {
+		h = (h ^ uint64(b.Col)) * prime
+		h = (h ^ uint64(b.StartG)) * prime
+		h = (h ^ uint64(b.EndG)) * prime
+	}
+	return h
 }
 
 // SelectList runs Top Buckets selection over a materialized combination
@@ -120,42 +236,35 @@ func SelectList(k int, combos []Combo) []Combo {
 // the certified lower bound on the k-th result's score. The join phase
 // uses it as a score floor: no result below it can reach the top-k.
 func SelectWithThreshold(k int, combos []Combo) ([]Combo, float64) {
-	cover := newLBCover(k)
+	s := newStreamSelector(k)
 	for _, c := range combos {
-		cover.add(c)
+		s.observe(c)
 	}
-	t := cover.threshold()
-	selected := make([]Combo, 0, 16)
-	seen := make(map[string]bool)
-	for _, c := range cover.cover() {
-		selected = append(selected, c)
-		seen[c.key()] = true
-	}
+	s.beginPick()
 	for _, c := range combos {
-		if c.UB > t && !seen[c.key()] {
-			selected = append(selected, c)
-			seen[c.key()] = true
+		if s.clears(c) {
+			s.keep(c)
 		}
 	}
-	sortCombos(selected, func(a, b Combo) bool { return a.UB > b.UB })
-	return selected, t
+	return s.finalize(), s.t
 }
 
-// streamSelector performs the same selection over a two-pass stream:
-// pass one feeds every combination to observe, pass two feeds every
+// streamSelector performs the selection over a two-pass stream: pass
+// one feeds every combination to observe, pass two feeds every
 // combination to pick, and finalize returns Ω_k,S. The two passes must
-// present the same combinations (bounds may be recomputed).
+// present the same combinations (bounds may be recomputed). Both passes
+// accept a Buckets slice the caller reuses; what the selector keeps, it
+// copies.
 type streamSelector struct {
-	k     int
 	cover *lbCover
 	t     float64
 	// pass-two state
 	selected []Combo
-	seen     map[string]bool
+	seen     ComboSet
 }
 
 func newStreamSelector(k int) *streamSelector {
-	return &streamSelector{k: k, cover: newLBCover(k)}
+	return &streamSelector{cover: newLBCover(k)}
 }
 
 // observe is pass one: accumulate the LB cover.
@@ -164,21 +273,28 @@ func (s *streamSelector) observe(c Combo) { s.cover.add(c) }
 // beginPick freezes the threshold and seeds the selection with H.
 func (s *streamSelector) beginPick() {
 	s.t = s.cover.threshold()
-	s.seen = make(map[string]bool)
 	for _, c := range s.cover.cover() {
-		s.selected = append(s.selected, c)
-		s.seen[c.key()] = true
+		s.keep(c)
 	}
 }
 
 // pick is pass two: keep every combination clearing the threshold.
 func (s *streamSelector) pick(c Combo) {
-	if c.UB > s.t {
-		if key := c.key(); !s.seen[key] {
-			s.selected = append(s.selected, c)
-			s.seen[key] = true
-		}
+	if s.clears(c) {
+		c.Buckets = append([]stats.Bucket(nil), c.Buckets...)
+		s.keep(c)
 	}
+}
+
+// clears reports whether c is above the threshold and not yet selected.
+func (s *streamSelector) clears(c Combo) bool {
+	return c.UB > s.t && !s.seen.Has(c.Buckets)
+}
+
+// keep selects c, retaining c.Buckets.
+func (s *streamSelector) keep(c Combo) {
+	s.selected = append(s.selected, c)
+	s.seen.Add(c.Buckets)
 }
 
 // finalize returns Ω_k,S sorted by descending UB.

@@ -40,18 +40,12 @@ func TestShardedLooseConsistentAcrossWorkers(t *testing.T) {
 		}
 		// Every combination with UB above the threshold must be present
 		// in both.
-		want := make(map[string]bool)
-		for _, c := range baseline.Selected {
-			if c.UB > baseline.KthResLB {
-				want[c.key()] = true
-			}
-		}
-		got := make(map[string]bool)
+		var got ComboSet
 		for _, c := range res.Selected {
-			got[c.key()] = true
+			got.Add(c.Buckets)
 		}
-		for key := range want {
-			if !got[key] {
+		for _, c := range baseline.Selected {
+			if c.UB > baseline.KthResLB && !got.Has(c.Buckets) {
 				t.Fatalf("workers=%d: above-threshold combination missing", workers)
 			}
 		}

@@ -146,30 +146,29 @@ func Run(q *query.Query, matrices []*stats.Matrix, k int, opts Options) (*Result
 	return res, nil
 }
 
-// pairKey identifies a bucket pair within one edge's bound table.
-type pairKey struct {
-	from, to stats.BucketKey
-}
-
 // pairBound holds solver bounds for one bucket pair.
 type pairBound struct {
 	lb, ub float64
 }
 
+// pairTable is one query edge's bound table: the bounds of every pair
+// of buckets of its two vertices, indexed by their positions in the
+// vertices' bucket lists.
+type pairTable struct {
+	from, to int // the edge's vertices
+	stride   int // len of the to vertex's bucket list
+	bounds   []pairBound
+}
+
 // computePairBounds builds, for every query edge, the bound table over
 // all bucket pairs of its two collections (lines 1-3 of Algorithm 2),
 // parallelized across workers.
-func computePairBounds(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, opts Options) ([]map[pairKey]pairBound, int) {
-	tables := make([]map[pairKey]pairBound, len(q.Edges))
+func computePairBounds(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, opts Options) ([]pairTable, int) {
+	tables := make([]pairTable, len(q.Edges))
 	calls := 0
 	for ei, e := range q.Edges {
 		fromList, toList := lists[e.From], lists[e.To]
-		table := make(map[pairKey]pairBound, len(fromList)*len(toList))
-		type cell struct {
-			key pairKey
-			b   pairBound
-		}
-		out := make([]cell, len(fromList)*len(toList))
+		out := make([]pairBound, len(fromList)*len(toList))
 		var wg sync.WaitGroup
 		chunk := (len(fromList) + opts.Workers - 1) / opts.Workers
 		for w := 0; w < opts.Workers; w++ {
@@ -192,17 +191,14 @@ func computePairBounds(q *query.Query, matrices []*stats.Matrix, lists [][]stats
 						sLo, sHi, eLo, eHi := matrices[e.To].Box(bj.StartG, bj.EndG)
 						toBox := solver.VertexBox{StartLo: sLo, StartHi: sHi, EndLo: eLo, EndHi: eHi}
 						lb, ub := solver.PredicateBounds(e.Pred, fromBox, toBox, opts.PairSolver)
-						out[i*len(toList)+j] = cell{key: pairKey{bi.Key(), bj.Key()}, b: pairBound{lb, ub}}
+						out[i*len(toList)+j] = pairBound{lb, ub}
 					}
 				}
 			}(lo, hi)
 		}
 		wg.Wait()
-		for _, c := range out {
-			table[c.key] = c.b
-		}
 		calls += len(out)
-		tables[ei] = table
+		tables[ei] = pairTable{from: e.From, to: e.To, stride: len(toList), bounds: out}
 	}
 	return tables, calls
 }
@@ -210,10 +206,10 @@ func computePairBounds(q *query.Query, matrices []*stats.Matrix, lists [][]stats
 // looseBounds aggregates per-edge pair bounds into combination bounds
 // (lines 4-5 of Algorithm 2): by monotonicity of S, aggregating edge
 // lower (resp. upper) bounds yields a valid combination lower (resp.
-// upper) bound.
-func looseBounds(q *query.Query, tables []map[pairKey]pairBound, buckets []stats.Bucket, lbs, ubs []float64) (lb, ub float64) {
-	for ei, e := range q.Edges {
-		pb := tables[ei][pairKey{buckets[e.From].Key(), buckets[e.To].Key()}]
+// upper) bound. pos holds the combination's bucket positions.
+func looseBounds(q *query.Query, tables []pairTable, pos []int, lbs, ubs []float64) (lb, ub float64) {
+	for ei, t := range tables {
+		pb := t.bounds[pos[t.from]*t.stride+pos[t.to]]
 		lbs[ei], ubs[ei] = pb.lb, pb.ub
 	}
 	return q.Agg.Aggregate(lbs), q.Agg.Aggregate(ubs)
@@ -250,8 +246,6 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 	shardSel := make([][]Combo, shards)
 	var wg sync.WaitGroup
 	shardSize := (len(lists[0]) + shards - 1) / shards
-	var firstErr error
-	var errMu sync.Mutex
 	for w := 0; w < shards; w++ {
 		lo := w * shardSize
 		if lo >= len(lists[0]) {
@@ -264,47 +258,25 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			shardLists := make([][]stats.Bucket, len(lists))
-			copy(shardLists, lists)
-			shardLists[0] = lists[0][lo:hi]
 			sel := newStreamSelector(k)
 			lbs := make([]float64, len(q.Edges))
 			ubs := make([]float64, len(q.Edges))
-			pass := func(fn func(Combo)) error {
-				return enumerate(shardLists, func(buckets []stats.Bucket) error {
-					lb, ub := looseBounds(q, tables, buckets, lbs, ubs)
+			// The selector copies the (reused) bucket tuple of what it
+			// keeps, so a pass allocates per kept combination only.
+			pass := func(fn func(Combo)) {
+				_ = enumerateRange(lists, lo, hi, func(pos []int, buckets []stats.Bucket) error {
+					lb, ub := looseBounds(q, tables, pos, lbs, ubs)
 					fn(Combo{Buckets: buckets, LB: lb, UB: ub, NbRes: nbRes(buckets)})
 					return nil
 				})
 			}
-			err := pass(func(c Combo) {
-				c.Buckets = append([]stats.Bucket(nil), c.Buckets...)
-				sel.observe(c)
-			})
-			if err == nil {
-				sel.beginPick()
-				err = pass(func(c Combo) {
-					if c.UB > sel.t {
-						c.Buckets = append([]stats.Bucket(nil), c.Buckets...)
-						sel.pick(c)
-					}
-				})
-			}
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
+			pass(sel.observe)
+			sel.beginPick()
+			pass(sel.pick)
 			shardSel[w] = sel.finalize()
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	var union []Combo
 	for _, s := range shardSel {
 		union = append(union, s...)
@@ -339,7 +311,7 @@ func runBruteForce(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Buc
 		return nil, fmt.Errorf("topbuckets: brute-force over %g combinations exceeds MaxCombos %g (reduce g or use the loose strategy)", res.TotalCombos, opts.MaxCombos)
 	}
 	var combos []Combo
-	if err := enumerate(lists, func(buckets []stats.Bucket) error {
+	if err := enumerate(lists, func(_ []int, buckets []stats.Bucket) error {
 		combos = append(combos, Combo{
 			Buckets: append([]stats.Bucket(nil), buckets...),
 			NbRes:   nbRes(buckets),

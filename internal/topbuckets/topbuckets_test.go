@@ -23,12 +23,12 @@ func mkCombo(lb, ub, nbRes float64, id int) Combo {
 // combinations with LB >= ω.UB totalling at least k results.
 func checkDefinition2(t *testing.T, k int, all, selected []Combo) {
 	t.Helper()
-	sel := make(map[string]bool, len(selected))
+	var sel ComboSet
 	for _, c := range selected {
-		sel[c.key()] = true
+		sel.Add(c.Buckets)
 	}
 	for _, w := range all {
-		if sel[w.key()] {
+		if sel.Has(w.Buckets) {
 			continue
 		}
 		var covered float64
@@ -120,20 +120,26 @@ func TestStreamSelectorMatchesSelectList(t *testing.T) {
 			all[i] = mkCombo(lb, ub, float64(1+rng.Intn(20)), i)
 		}
 		want := SelectList(k, all)
+		// Feed the selector through one reused buffer, as Run's
+		// enumeration does: what it keeps must not alias the buffer.
 		s := newStreamSelector(k)
-		for _, c := range all {
-			s.observe(c)
+		buf := make([]stats.Bucket, 1)
+		feed := func(fn func(Combo)) {
+			for _, c := range all {
+				copy(buf, c.Buckets)
+				c.Buckets = buf
+				fn(c)
+			}
 		}
+		feed(s.observe)
 		s.beginPick()
-		for _, c := range all {
-			s.pick(c)
-		}
+		feed(s.pick)
 		got := s.finalize()
 		if len(got) != len(want) {
 			t.Fatalf("stream selected %d, list selected %d (k=%d)", len(got), len(want), k)
 		}
 		for i := range got {
-			if got[i].key() != want[i].key() {
+			if got[i].Buckets[0] != want[i].Buckets[0] {
 				t.Fatalf("selection mismatch at %d", i)
 			}
 		}
@@ -256,14 +262,12 @@ func TestLooseVsTightBounds(t *testing.T) {
 	if loose.PairSolverCalls == 0 || brute.TightSolverCalls == 0 || two.TightSolverCalls == 0 {
 		t.Fatal("solver call counters not maintained")
 	}
-	// Index loose bounds by combo identity.
-	looseUB := make(map[string]float64)
-	for _, c := range loose.Selected {
-		looseUB[c.key()] = c.UB
-	}
+	// Match combinations by identity.
 	for _, c := range brute.Selected {
-		if lu, ok := looseUB[c.key()]; ok && c.UB > lu+1e-9 {
-			t.Fatalf("tight UB %g exceeds loose UB %g", c.UB, lu)
+		for _, l := range loose.Selected {
+			if compareTuples(c.Buckets, l.Buckets) == 0 && c.UB > l.UB+1e-9 {
+				t.Fatalf("tight UB %g exceeds loose UB %g", c.UB, l.UB)
+			}
 		}
 	}
 	// two-phase refines: selected results never exceed loose's.
@@ -303,7 +307,10 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 		{{Col: 1, StartG: 0}, {Col: 1, StartG: 1}, {Col: 1, StartG: 2}},
 	}
 	var seen [][2]int
-	err := enumerate(lists, func(bs []stats.Bucket) error {
+	err := enumerate(lists, func(pos []int, bs []stats.Bucket) error {
+		if bs[0] != lists[0][pos[0]] || bs[1] != lists[1][pos[1]] {
+			t.Fatalf("positions %v do not index buckets %v", pos, bs)
+		}
 		seen = append(seen, [2]int{bs[0].StartG, bs[1].StartG})
 		return nil
 	})
